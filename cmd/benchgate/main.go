@@ -31,7 +31,11 @@ import (
 	"strconv"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
+	"repro/internal/proto"
+	"repro/internal/transport"
+	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
 
@@ -154,7 +158,7 @@ func main() {
 		return
 	}
 
-	for _, c := range bench.Cases() {
+	for _, c := range append(bench.Cases(), bench.ResultIngestCase(appServerHandler)) {
 		m := bench.Run(c, 0)
 		rep.Metrics = append(rep.Metrics, m)
 		fmt.Printf("%-28s n=%-8d %12.1f ns/op %12.4f allocs/op %12.1f B/op\n",
@@ -220,6 +224,14 @@ func main() {
 		reportRegressions(rep.Gate.Regressions)
 		os.Exit(1)
 	}
+}
+
+// appServerHandler returns the handler of a fresh materializing
+// application server with an OnResult consumer, the distq facade's
+// configuration.
+func appServerHandler() transport.Handler {
+	app := cluster.NewAppServer(vclock.NewManual(), true, func(proto.Phase, tuple.Result) {})
+	return app.Handle
 }
 
 // runSaturation measures the TCP data-path comparison and applies the

@@ -18,7 +18,9 @@ import (
 	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/proto"
 	"repro/internal/spill"
+	"repro/internal/transport"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
@@ -64,6 +66,39 @@ func CleanupGens() []*join.GroupSnapshot {
 		return s
 	}
 	return []*join.GroupSnapshot{mkGen(0), mkGen(1), mkGen(2)}
+}
+
+// ingestBatchResults is the result count of one appserver_result_ingest
+// batch.
+const ingestBatchResults = 64
+
+// ResultIngestCase is the gated appserver_result_ingest case: the
+// application server's intake of one ResultData batch of distinct
+// results, gating the per-result cost of decoding plus cross-phase
+// duplicate detection. newHandler returns the handler of a fresh
+// materializing application server; that server lives in the cluster
+// harness, which this package may not import (component boundary), so
+// the caller supplies it.
+func ResultIngestCase(newHandler func() transport.Handler) Case {
+	return Case{
+		Name:     "appserver_result_ingest",
+		DefaultN: 5_000,
+		Make: func() func(int) {
+			handle := newHandler()
+			var payload []byte
+			seqs := make([]uint64, 3)
+			return func(i int) {
+				payload = payload[:0]
+				for j := 0; j < ingestBatchResults; j++ {
+					n := uint64(i*ingestBatchResults + j)
+					seqs[0], seqs[1], seqs[2] = 3*n, 3*n+1, 3*n+2
+					r := tuple.Result{Key: n % 1000, Seqs: seqs}
+					payload = r.AppendTo(payload)
+				}
+				handle("e1", proto.ResultData{Node: "e1", Payload: payload, Phase: proto.PhaseRuntime})
+			}
+		},
+	}
 }
 
 // Case is one gated micro-benchmark: Make returns a fresh-state
@@ -289,8 +324,7 @@ func CleanupComparison() (serial, parallel CleanupRun, err error) {
 		return serial, parallel, err
 	}
 	run := func(parallelism int) (CleanupRun, error) {
-		emit := func(tuple.Result) {}
-		st, err := cleanup.RunWith(3, store, nil, 0, emit, cleanup.Options{Parallelism: parallelism})
+		st, err := cleanup.RunWith(3, store, nil, 0, cleanup.Discard, cleanup.Options{Parallelism: parallelism})
 		if err != nil {
 			return CleanupRun{}, fmt.Errorf("bench: cleanup comparison: %w", err)
 		}

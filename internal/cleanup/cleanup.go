@@ -85,6 +85,26 @@ type Options struct {
 	Now func() vclock.Time
 }
 
+// Sink receives the missed results of one cleanup worker. RunWith gives
+// every worker a Sink of its own, driven only from that worker's
+// goroutine, so a Sink needs no locking: Emit gets each result under the
+// join.EmitFunc ownership contract (Seqs is scratch; Clone to retain),
+// and EndGroup runs after every partition group the worker finishes —
+// where a buffering sink ships what it holds.
+type Sink interface {
+	Emit(tuple.Result)
+	EndGroup()
+}
+
+// Discard returns a Sink that drops every result: a run that enumerates
+// each missed result (the materializing cost model) without consuming it.
+func Discard() Sink { return discard{} }
+
+type discard struct{}
+
+func (discard) Emit(tuple.Result) {}
+func (discard) EndGroup()         {}
+
 // tables is a per-input hash index over the join key.
 type tables []map[uint64][]tuple.Tuple
 
@@ -256,15 +276,23 @@ func (e *enumerator) walk(input int, anyOld bool, minTs, maxTs vclock.Time) {
 // merging each with its resident generation from op (if any). It is the
 // per-engine cleanup of the paper's disk phase; op may be nil when the
 // engine holds no resident state (e.g. everything was spilled). window
-// carries the join's sliding window (0 = unbounded). Run uses default
-// Options (Parallelism = GOMAXPROCS); RunWith takes explicit ones.
-func Run(inputs int, store spill.Store, op *join.Operator, window time.Duration, emit join.EmitFunc) (Stats, error) {
-	return RunWith(inputs, store, op, window, emit, Options{})
+// carries the join's sliding window (0 = unbounded). sinks builds one
+// Sink per worker, called on the caller's goroutine before the workers
+// start; nil counts the missed results without materializing them. Run uses default Options (Parallelism = GOMAXPROCS); RunWith
+// takes explicit ones.
+func Run(inputs int, store spill.Store, op *join.Operator, window time.Duration, sinks func() Sink) (Stats, error) {
+	return RunWith(inputs, store, op, window, sinks, Options{})
 }
 
-// cleanupGroup merges one group: its disk segments plus the resident
-// generation from op (if any).
-func cleanupGroup(inputs int, store spill.Store, op *join.Operator, id partition.ID, window time.Duration, emit join.EmitFunc) (GroupResult, int, error) {
+// cleanupGroup merges one group — its disk segments plus the resident
+// generation from op (if any) — into sink (nil counts only), ending the
+// group on the sink whether or not the merge succeeded.
+func cleanupGroup(inputs int, store spill.Store, op *join.Operator, id partition.ID, window time.Duration, sink Sink) (GroupResult, int, error) {
+	var emit join.EmitFunc
+	if sink != nil {
+		emit = sink.Emit
+		defer sink.EndGroup()
+	}
 	segs, err := store.Read(id)
 	if err != nil {
 		return GroupResult{}, 0, fmt.Errorf("cleanup: read group %d: %w", id, err)
@@ -279,18 +307,27 @@ func cleanupGroup(inputs int, store spill.Store, op *join.Operator, id partition
 	return res, nsegs, err
 }
 
+// newSink builds one worker's Sink (nil when counting only).
+func newSink(sinks func() Sink) Sink {
+	if sinks == nil {
+		return nil
+	}
+	return sinks()
+}
+
 // RunWith is Run with explicit Options. Partition groups are merged by a
 // bounded worker pool: each group is claimed by exactly one worker, so
 // every missed result is produced exactly once, and the result *set* is
-// independent of the parallelism — only the emission order varies. emit
-// is serialized across workers (callers need no locking), and the span /
-// metric instrumentation is recorded per worker.
+// independent of the parallelism — only the emission order varies. Each
+// worker emits into its own Sink (see Sink), so workers share no lock on
+// the result path, and the span / metric instrumentation is recorded per
+// worker.
 //
 // On failure every group is still attempted, and the returned error is
 // deterministically that of the lowest-numbered failing group (matching
 // what a serial ascending-order run reports first); the stats then cover
 // the groups that did succeed.
-func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Duration, emit join.EmitFunc, opts Options) (Stats, error) {
+func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Duration, sinks func() Sink, opts Options) (Stats, error) {
 	start := vclock.WallNow()
 	ids := store.Groups()
 	workers := opts.Parallelism
@@ -313,13 +350,14 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 	}
 
 	if workers == 1 {
-		// Serial fast path: no emit lock, errors abort the scan like the
-		// pre-pool implementation.
+		// Serial fast path: errors abort the scan like the pre-pool
+		// implementation.
 		span := opts.Tracer.Start(obs.SpanCleanupWorker, opts.Node, now())
 		span.SetAttr("worker", "0")
+		sink := newSink(sinks)
 		err := func() error {
 			for _, id := range ids {
-				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, emit)
+				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, sink)
 				stats.Segments += nsegs
 				if err != nil {
 					return err
@@ -336,15 +374,6 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 		return stats, err
 	}
 
-	var emitMu sync.Mutex
-	locked := emit
-	if emit != nil {
-		locked = func(r tuple.Result) {
-			emitMu.Lock()
-			emit(r)
-			emitMu.Unlock()
-		}
-	}
 	work := make(chan partition.ID, len(ids))
 	for _, id := range ids {
 		work <- id
@@ -362,6 +391,7 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
+		sink := newSink(sinks)
 		go func(w int) {
 			defer wg.Done()
 			label := strconv.Itoa(w)
@@ -374,7 +404,7 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 			)
 			for id := range work {
 				groupStart := vclock.WallNow()
-				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, locked)
+				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, sink)
 				local.Segments += nsegs
 				if opts.Registry != nil {
 					opts.Registry.Histogram("distq_engine_cleanup_group_seconds", obs.LatencyBuckets).Observe(vclock.WallSince(groupStart).Seconds())

@@ -2,6 +2,7 @@ package cleanup
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,6 +15,27 @@ import (
 func mkTuple(stream uint8, key, seq uint64) tuple.Tuple {
 	return tuple.Tuple{Stream: stream, Key: key, Seq: seq, Payload: make([]byte, 8)}
 }
+
+// shared adapts one callback into per-worker sinks that serialize on a
+// common mutex, so a test can collect every worker's results into a
+// single set.
+func shared(emit join.EmitFunc) func() Sink {
+	var mu sync.Mutex
+	return func() Sink { return &lockedSink{mu: &mu, emit: emit} }
+}
+
+type lockedSink struct {
+	mu   *sync.Mutex
+	emit join.EmitFunc
+}
+
+func (s *lockedSink) Emit(r tuple.Result) {
+	s.mu.Lock()
+	s.emit(r)
+	s.mu.Unlock()
+}
+
+func (s *lockedSink) EndGroup() {}
 
 // runWithSpills drives tuples through a join operator, spilling everything
 // at the given indices, and returns runtime results plus the store.
@@ -49,7 +71,7 @@ func checkExactness(t *testing.T, inputs int, history []tuple.Tuple, runtime *tu
 			dup = true
 		}
 	}
-	stats, err := Run(inputs, store, op, 0, emit)
+	stats, err := Run(inputs, store, op, 0, shared(emit))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +126,7 @@ func TestCleanupCountOnlyMatchesMaterialized(t *testing.T) {
 	}
 	_, op2, store2 := runWithSpills(t, inputs, 4, history, spillAt)
 	set := tuple.NewResultSet()
-	materialized, err := Run(inputs, store2, op2, 0, func(r tuple.Result) { set.Add(r) })
+	materialized, err := Run(inputs, store2, op2, 0, shared(func(r tuple.Result) { set.Add(r) }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func buildSpilledRun(t *testing.T, inputs, minGroups int) (*join.Operator, spill
 func collectResults(t *testing.T, inputs int, op *join.Operator, store spill.Store, opts Options) (*tuple.ResultSet, Stats) {
 	t.Helper()
 	set := tuple.NewResultSet()
-	stats, err := RunWith(inputs, store, op, 0, func(r tuple.Result) { set.Add(r) }, opts)
+	stats, err := RunWith(inputs, store, op, 0, shared(func(r tuple.Result) { set.Add(r) }), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunDefaultsMatchExplicitSerial(t *testing.T) {
 	op, store := buildSpilledRun(t, inputs, 8)
 	serial, _ := collectResults(t, inputs, op, store, Options{Parallelism: 1})
 	set := tuple.NewResultSet()
-	if _, err := Run(inputs, store, op, 0, func(r tuple.Result) { set.Add(r) }); err != nil {
+	if _, err := Run(inputs, store, op, 0, shared(func(r tuple.Result) { set.Add(r) })); err != nil {
 		t.Fatal(err)
 	}
 	if len(serial.Diff(set)) != 0 || len(set.Diff(serial)) != 0 {
@@ -112,7 +112,7 @@ func TestParallelDeterministicError(t *testing.T) {
 			ID:  partition.ID(id),
 			Gen: 0,
 			Tuples: [][]tuple.Tuple{
-				{mkTuple(0, 1, uint64(id))}, {mkTuple(1, 1, uint64(100 + id))}, {mkTuple(2, 1, uint64(200 + id))},
+				{mkTuple(0, 1, uint64(id))}, {mkTuple(1, 1, uint64(100+id))}, {mkTuple(2, 1, uint64(200+id))},
 			},
 		}
 		if err := store.Write(snap); err != nil {
@@ -173,5 +173,45 @@ func TestParallelObservability(t *testing.T) {
 	if !sawGroupsTotal || !sawResultsTotal || !sawWorkersGauge {
 		t.Fatalf("missing cleanup metrics: groups=%v results=%v workers=%v",
 			sawGroupsTotal, sawResultsTotal, sawWorkersGauge)
+	}
+}
+
+// countingSink tallies one worker's results and group ends without
+// locking: the race detector fails the test if RunWith ever shares a
+// sink between workers.
+type countingSink struct {
+	results, groups int
+}
+
+func (s *countingSink) Emit(tuple.Result) { s.results++ }
+func (s *countingSink) EndGroup()         { s.groups++ }
+
+// TestEveryWorkerOwnsItsSink: RunWith builds one sink per worker and
+// ends every merged group on the sink of the worker that merged it.
+func TestEveryWorkerOwnsItsSink(t *testing.T) {
+	const inputs = 3
+	op, store := buildSpilledRun(t, inputs, 8)
+	for _, par := range []int{1, 3} {
+		var sinks []*countingSink
+		stats, err := RunWith(inputs, store, op, 0, func() Sink {
+			s := &countingSink{}
+			sinks = append(sinks, s) // called on this goroutine
+			return s
+		}, Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sinks) != stats.Workers {
+			t.Fatalf("parallelism %d: %d sinks for %d workers", par, len(sinks), stats.Workers)
+		}
+		var results, groups int
+		for _, s := range sinks {
+			results += s.results
+			groups += s.groups
+		}
+		if uint64(results) != stats.Results || groups != stats.Groups {
+			t.Fatalf("parallelism %d: sinks saw %d results in %d groups, stats %d in %d",
+				par, results, groups, stats.Results, stats.Groups)
+		}
 	}
 }

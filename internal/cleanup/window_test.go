@@ -54,11 +54,11 @@ func TestWindowedCleanupExactness(t *testing.T) {
 
 	combined := tuple.NewResultSet()
 	var dup bool
-	stats, err := Run(inputs, store, op, window, func(r tuple.Result) {
+	stats, err := Run(inputs, store, op, window, shared(func(r tuple.Result) {
 		if runtimeSet.Contains(r) || !combined.Add(r) {
 			dup = true
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestWindowedCleanupCountOnlyMatchesEnumerated(t *testing.T) {
 	}
 	op2, store2 := build()
 	set := tuple.NewResultSet()
-	if _, err := Run(inputs, store2, op2, window, func(r tuple.Result) { set.Add(r) }); err != nil {
+	if _, err := Run(inputs, store2, op2, window, shared(func(r tuple.Result) { set.Add(r) })); err != nil {
 		t.Fatal(err)
 	}
 	if counted.Results != uint64(set.Len()) {

@@ -57,7 +57,7 @@ func NewAppServer(clock vclock.Clock, materialize bool, onResult func(proto.Phas
 
 // Attach joins the application server to the network.
 func (a *AppServer) Attach(net transport.Network) error {
-	ep, err := net.Attach(AppServerNode, a.handle)
+	ep, err := net.Attach(AppServerNode, a.Handle)
 	if err != nil {
 		return err
 	}
@@ -65,7 +65,8 @@ func (a *AppServer) Attach(net transport.Network) error {
 	return nil
 }
 
-func (a *AppServer) handle(from partition.NodeID, msg proto.Message) {
+// Handle is the application server's transport handler.
+func (a *AppServer) Handle(from partition.NodeID, msg proto.Message) {
 	//distq:handles appserver
 	switch m := msg.(type) {
 	case proto.ResultCount:
@@ -101,15 +102,18 @@ func (a *AppServer) onResultData(m proto.ResultData) error {
 		if err != nil {
 			return err
 		}
+		// The payload holds each result in its fingerprint encoding, so
+		// duplicate detection keys on the wire bytes directly.
+		enc := buf[:used]
 		buf = buf[used:]
 		// A result is a duplicate if it was seen in either phase.
 		switch m.Phase {
 		case proto.PhaseRuntime:
-			if a.cleanupSet.Contains(r) || !a.runtimeSet.Add(r) {
+			if a.cleanupSet.ContainsEncoded(enc) || !a.runtimeSet.AddEncoded(enc) {
 				a.dups++
 			}
 		case proto.PhaseCleanup:
-			if a.runtimeSet.Contains(r) || !a.cleanupSet.Add(r) {
+			if a.runtimeSet.ContainsEncoded(enc) || !a.cleanupSet.AddEncoded(enc) {
 				a.dups++
 			}
 		}

@@ -37,9 +37,9 @@ import (
 	"repro/internal/vclock"
 )
 
-// resultFlushThreshold bounds how many materialized results are encoded
-// into the pending payload before a ResultData message is pushed to the
-// application server.
+// resultFlushThreshold caps one ResultData message: a producer whose
+// buffer reaches it ships early instead of waiting for the end of its
+// unit of work (see resultBuf).
 const resultFlushThreshold = 4096
 
 // Config parameterizes a query engine.
@@ -230,17 +230,10 @@ type Engine struct {
 	// send, so a transient send failure retries the delta on the next
 	// sr_timer instead of dropping it.
 	reportedOutput uint64
-	// resultMu serializes the result buffer: with a shard pool, emit
-	// callbacks run concurrently on worker goroutines (join results and
-	// cleanup workers alike).
-	resultMu sync.Mutex
-	// resultPayload holds pending materialized results, already encoded:
-	// emit hands the engine a Result whose Seqs is the join core's scratch
-	// buffer, so it must be consumed (encoded) inside the callback rather
-	// than retained. resultCount tracks how many results it holds.
-	resultPayload []byte
-	resultCount   int
-	resultPhase   proto.Phase
+	// shardResults holds one run-time result buffer per operator shard
+	// (Materialize only): the handler owns shard 0's on the serial path,
+	// each shard worker owns its own on the parallel path.
+	shardResults []*resultBuf
 
 	tickers []*vclock.Ticker
 	stopped bool
@@ -327,16 +320,21 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		}
 	}
 	var emit join.EmitFunc
-	switch {
-	case c.Materialize:
-		emit = func(r tuple.Result) { e.bufferResult(r) }
-	case c.EnumerateResults:
+	if c.EnumerateResults {
 		emit = func(tuple.Result) {}
 	}
 	if c.Window > 0 {
 		e.op = join.NewWindowedSharded(c.Inputs, e.pf, c.Window, c.JoinParallelism, emit)
 	} else {
 		e.op = join.NewSharded(c.Inputs, e.pf, c.JoinParallelism, emit)
+	}
+	if c.Materialize {
+		e.shardResults = make([]*resultBuf, e.op.NumShards())
+		for i := range e.shardResults {
+			b := &resultBuf{e: e, phase: proto.PhaseRuntime}
+			e.shardResults[i] = b
+			e.op.Shard(i).SetEmit(b.Emit)
+		}
 	}
 	e.reg.Gauge("distq_engine_shard_workers").Set(float64(c.JoinParallelism))
 	if c.JoinParallelism > 1 {
@@ -619,15 +617,18 @@ func (e *Engine) onData(m proto.Data) error {
 		}
 	}
 	if e.pool != nil {
+		// Each worker ships its own results (shardPool.run).
 		e.pool.dispatch(tuples)
-	} else {
-		for i := range tuples {
-			if _, err := e.op.Process(tuples[i]); err != nil {
-				return err
-			}
+		return nil
+	}
+	// The batch is the handler's unit of work: its results ship when it
+	// ends.
+	defer e.flushShardResults(0)
+	for i := range tuples {
+		if _, err := e.op.Process(tuples[i]); err != nil {
+			return err
 		}
 	}
-	e.maybeFlushResults(false)
 	return nil
 }
 
@@ -791,7 +792,6 @@ func (e *Engine) StatsSnapshot() proto.StatsReport {
 }
 
 func (e *Engine) reportResults() error {
-	e.maybeFlushResults(true)
 	output := e.op.Output()
 	delta := output - e.reportedOutput
 	if delta == 0 {
@@ -1187,17 +1187,16 @@ func (e *Engine) onDrain(from partition.NodeID, m proto.Drain) error {
 // outcome to the requester.
 func (e *Engine) onCleanup(from partition.NodeID) error {
 	span := e.tracer.Start(obs.SpanCleanup, string(e.cfg.Node), e.clock.Now())
-	var emit join.EmitFunc
+	// Every cleanup worker buffers into a sink of its own and ships it at
+	// the end of each group.
+	var sinks func() cleanup.Sink
 	switch {
 	case e.cfg.Materialize:
-		e.resultMu.Lock()
-		e.resultPhase = proto.PhaseCleanup
-		e.resultMu.Unlock()
-		emit = func(r tuple.Result) { e.bufferResult(r) }
+		sinks = func() cleanup.Sink { return &resultBuf{e: e, phase: proto.PhaseCleanup} }
 	case e.cfg.EnumerateResults:
-		emit = func(tuple.Result) {}
+		sinks = cleanup.Discard
 	}
-	st, err := cleanup.RunWith(e.cfg.Inputs, e.cfg.Store, e.op, e.cfg.Window, emit, cleanup.Options{
+	st, err := cleanup.RunWith(e.cfg.Inputs, e.cfg.Store, e.op, e.cfg.Window, sinks, cleanup.Options{
 		Parallelism: e.cfg.CleanupParallelism,
 		Tracer:      e.tracer,
 		Registry:    e.reg,
@@ -1225,60 +1224,58 @@ func (e *Engine) onCleanup(from partition.NodeID) error {
 		// Report the failure instead of leaving the requester waiting.
 		done.Error = err.Error()
 	}
-	e.maybeFlushResults(true)
 	if sendErr := e.ep.Send(from, done); sendErr != nil {
 		return sendErr
 	}
 	return err
 }
 
-// bufferResult encodes one emitted result into the pending payload.
-// It runs on the handler goroutine (serial path), on shard workers
-// (parallel join), and on cleanup workers — resultMu serializes them.
-func (e *Engine) bufferResult(r tuple.Result) {
-	e.resultMu.Lock()
-	e.resultPayload = r.AppendTo(e.resultPayload)
-	e.resultCount++
-	var payload []byte
-	var phase proto.Phase
-	if e.resultCount >= resultFlushThreshold {
-		payload, phase = e.takeResultsLocked()
+// resultBuf is one result producer's pending materialized results,
+// already encoded: emit hands over a Result whose Seqs is the producer's
+// scratch buffer, so it is consumed (encoded) inside the callback rather
+// than retained. Every producer owns its buffer exclusively — the
+// handler on the serial path, each shard worker, each cleanup worker —
+// and ships it as one ResultData when its unit of work ends, so no lock
+// guards a buffer and no timer has to sweep one. It is also the cleanup
+// workers' cleanup.Sink.
+type resultBuf struct {
+	e       *Engine
+	phase   proto.Phase
+	payload []byte
+	count   int
+}
+
+// Emit encodes one result, shipping the buffer early at the size cap.
+func (b *resultBuf) Emit(r tuple.Result) {
+	b.payload = r.AppendTo(b.payload)
+	b.count++
+	if b.count >= resultFlushThreshold {
+		b.flush()
 	}
-	e.resultMu.Unlock()
-	e.sendResults(payload, phase)
 }
 
-// takeResultsLocked detaches the pending payload (caller holds
-// resultMu). The receiver retains the payload (the in-process transport
-// hands the message over by reference), so a fresh buffer is started
-// rather than truncating this one.
-func (e *Engine) takeResultsLocked() ([]byte, proto.Phase) {
-	payload := e.resultPayload
-	e.resultPayload = nil
-	e.resultCount = 0
-	return payload, e.resultPhase
-}
+// EndGroup ships a cleanup worker's results once per merged group.
+func (b *resultBuf) EndGroup() { b.flush() }
 
-func (e *Engine) maybeFlushResults(force bool) {
-	e.resultMu.Lock()
-	var payload []byte
-	var phase proto.Phase
-	if e.resultCount > 0 && (force || e.resultCount >= resultFlushThreshold) {
-		payload, phase = e.takeResultsLocked()
-	}
-	e.resultMu.Unlock()
-	e.sendResults(payload, phase)
-}
-
-// sendResults ships a detached payload; a nil payload is a no-op.
-// Sending outside resultMu keeps emitters from serializing on the
-// transport; ResultData batches are order-independent sets.
-func (e *Engine) sendResults(payload []byte, phase proto.Phase) {
-	if payload == nil {
+// flush ships the pending results, if any. The receiver retains the
+// payload (the in-process transport hands the message over by
+// reference), so the next results start a fresh buffer.
+func (b *resultBuf) flush() {
+	if b.count == 0 {
 		return
 	}
-	if err := e.ep.Send(e.cfg.AppServer, proto.ResultData{Node: e.cfg.Node, Payload: payload, Phase: phase}); err != nil {
-		e.log.Error("result_flush_error", obs.FErr(err))
+	msg := proto.ResultData{Node: b.e.cfg.Node, Payload: b.payload, Phase: b.phase}
+	b.payload, b.count = nil, 0
+	if err := b.e.ep.Send(b.e.cfg.AppServer, msg); err != nil {
+		b.e.log.Error("result_flush_error", obs.FErr(err))
+	}
+}
+
+// flushShardResults ships shard i's run-time results; its caller is the
+// goroutine that drives the shard.
+func (e *Engine) flushShardResults(i int) {
+	if e.shardResults != nil {
+		e.shardResults[i].flush()
 	}
 }
 

@@ -77,9 +77,12 @@ func (p *shardPool) start() {
 	}
 }
 
-// run is one worker's loop. The worker owns its shard exclusively, so
-// Process needs no locking; result emission synchronizes inside the
-// engine's emit callback.
+// run is one worker's loop. The worker owns its shard and the shard's
+// result buffer exclusively, so neither needs locking. It ships the
+// buffer whenever its queue runs empty — under load consecutive batches
+// share one ResultData, when idle each batch's results leave at once —
+// and always before acknowledging a barrier, so a quiesced pool holds no
+// unsent result (Drain's "every result is sent" rests on this).
 func (p *shardPool) run(idx int, w *shardWorker) {
 	defer p.wg.Done()
 	e := p.e
@@ -101,6 +104,7 @@ func (p *shardPool) run(idx int, w *shardWorker) {
 			return
 		case item := <-w.work:
 			if item.ack != nil {
+				e.flushShardResults(idx)
 				close(item.ack)
 				continue
 			}
@@ -113,6 +117,9 @@ func (p *shardPool) run(idx int, w *shardWorker) {
 			}
 			tuples += uint64(len(item.tuples))
 			tuplesCtr.Add(float64(len(item.tuples)))
+			if len(w.work) == 0 {
+				e.flushShardResults(idx)
+			}
 		}
 	}
 }

@@ -45,9 +45,9 @@ import (
 // implementation that retains the result beyond the call must copy it
 // first (tuple.Result.Clone). With a sharded operator the callback runs
 // on whichever goroutine drives the shard that produced the match, and
-// concurrently across shards — implementations must serialize their own
-// state (the engine wraps its result buffer in a mutex). See PROTOCOL.md
-// "Performance".
+// concurrently across shards: an operator-wide EmitFunc must serialize
+// its own state, or each shard gets its own sink with Shard.SetEmit (the
+// engine's per-shard result buffers). See PROTOCOL.md "Performance".
 type EmitFunc func(tuple.Result)
 
 // Operator is one instance of the partitioned m-way symmetric hash join.
@@ -58,7 +58,6 @@ type EmitFunc func(tuple.Result)
 type Operator struct {
 	inputs int
 	part   partition.Func
-	emit   EmitFunc
 	window time.Duration // 0 = unbounded
 	shards []*Shard
 }
@@ -74,6 +73,8 @@ type Shard struct {
 	groups    map[partition.ID]*group
 	totalSize int64
 	output    uint64
+	// emit receives this shard's matches; nil counts them only.
+	emit EmitFunc
 	// scratch buffers reused across probes to avoid per-tuple allocation.
 	lists [][]tuple.Tuple
 	seqs  []uint64
@@ -182,11 +183,12 @@ func NewSharded(inputs int, part partition.Func, shards int, emit EmitFunc) *Ope
 	if shards < 1 {
 		shards = 1
 	}
-	o := &Operator{inputs: inputs, part: part, emit: emit, shards: make([]*Shard, shards)}
+	o := &Operator{inputs: inputs, part: part, shards: make([]*Shard, shards)}
 	for i := range o.shards {
 		o.shards[i] = &Shard{
 			op:     o,
 			idx:    i,
+			emit:   emit,
 			groups: make(map[partition.ID]*group),
 			lists:  make([][]tuple.Tuple, inputs),
 			seqs:   make([]uint64, inputs),
@@ -203,6 +205,12 @@ func (o *Operator) NumShards() int { return len(o.shards) }
 
 // Shard returns shard i for external drivers (the engine's worker pool).
 func (o *Operator) Shard(i int) *Shard { return o.shards[i] }
+
+// SetEmit replaces the EmitFunc this shard's matches go to, so a driver
+// can give every shard a sink of its own that only the shard's goroutine
+// touches. nil switches the shard to count-only. Call it before the shard
+// processes, or while it is quiesced.
+func (s *Shard) SetEmit(emit EmitFunc) { s.emit = emit }
 
 // ShardIndex reports which shard owns the partition group of a join key,
 // so batch dispatchers can bucket tuples without touching shard state.
@@ -327,7 +335,7 @@ func (s *Shard) probe(g *group, t *tuple.Tuple) uint64 {
 		s.lists[i] = l
 		count *= uint64(len(l))
 	}
-	if o.emit != nil {
+	if s.emit != nil {
 		s.seqs[t.Stream] = t.Seq
 		s.enumerate(t, 0)
 	}
@@ -340,7 +348,7 @@ func (s *Shard) probe(g *group, t *tuple.Tuple) uint64 {
 // ownership contract), so enumeration allocates nothing.
 func (s *Shard) enumerate(t *tuple.Tuple, input int) {
 	if input == s.op.inputs {
-		s.op.emit(tuple.Result{Key: t.Key, Seqs: s.seqs})
+		s.emit(tuple.Result{Key: t.Key, Seqs: s.seqs})
 		return
 	}
 	if input == int(t.Stream) {

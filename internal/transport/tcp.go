@@ -725,6 +725,9 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 	if e.metrics != nil {
 		start = time.Now()
 	}
+	if to == e.node {
+		return e.sendSelf(msg, start)
+	}
 	conn, err := e.conn(to)
 	if err != nil {
 		return err
@@ -754,6 +757,25 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 	}
 	if e.metrics != nil {
 		e.metrics.sent(msg, frameBytes, time.Since(start))
+	}
+	return nil
+}
+
+// sendSelf delivers a self-addressed message (timer Ticks, relocation
+// timeouts) straight into the endpoint's own queue, with the in-process
+// transport's semantics: by reference, FIFO, blocking while the queue is
+// full, and an error once the endpoint is down. No socket, codec or
+// credit is involved.
+func (e *tcpEndpoint) sendSelf(msg proto.Message, start time.Time) error {
+	size := 0
+	if e.metrics != nil {
+		size = approxSize(msg)
+	}
+	if !e.deliver(envelope{from: e.node, msg: msg, size: size}) {
+		return fmt.Errorf("transport: send to %s: endpoint closed", e.node)
+	}
+	if e.metrics != nil {
+		e.metrics.sent(msg, size, time.Since(start))
 	}
 	return nil
 }

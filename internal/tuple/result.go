@@ -79,12 +79,19 @@ func NewResultSet() *ResultSet {
 
 // Add inserts r, reporting whether it was new. Duplicates are counted.
 func (s *ResultSet) Add(r Result) bool {
-	fp := r.FingerprintString()
-	if _, ok := s.seen[fp]; ok {
+	return s.AddEncoded(r.AppendTo(make([]byte, 0, r.EncodedSize())))
+}
+
+// AddEncoded is Add for a result given in its AppendTo encoding, which
+// is exactly its fingerprint: a consumer of encoded result batches dedups
+// on the wire bytes without decoding or re-encoding. Only a new result
+// copies its bytes (into the set's key).
+func (s *ResultSet) AddEncoded(enc []byte) bool {
+	if _, ok := s.seen[string(enc)]; ok {
 		s.dups++
 		return false
 	}
-	s.seen[fp] = struct{}{}
+	s.seen[string(enc)] = struct{}{}
 	return true
 }
 
@@ -96,7 +103,13 @@ func (s *ResultSet) Duplicates() int { return s.dups }
 
 // Contains reports whether the exact match r has been added.
 func (s *ResultSet) Contains(r Result) bool {
-	_, ok := s.seen[r.FingerprintString()]
+	return s.ContainsEncoded(r.AppendTo(make([]byte, 0, r.EncodedSize())))
+}
+
+// ContainsEncoded is Contains for a result in its AppendTo encoding; the
+// lookup copies nothing.
+func (s *ResultSet) ContainsEncoded(enc []byte) bool {
+	_, ok := s.seen[string(enc)]
 	return ok
 }
 

@@ -213,3 +213,21 @@ func TestIDOf(t *testing.T) {
 		t.Fatalf("IDOf = %+v", id)
 	}
 }
+
+// TestResultSetEncodedMatchesResult: the wire encoding is the
+// fingerprint, so the encoded and decoded entry points see one set.
+func TestResultSetEncodedMatchesResult(t *testing.T) {
+	s := NewResultSet()
+	r := Result{Key: 9, Seqs: []uint64{1, 2, 3}}
+	enc := r.AppendTo(nil)
+	if !s.AddEncoded(enc) || !s.Contains(r) || s.Add(r) {
+		t.Fatal("AddEncoded and Add/Contains disagree")
+	}
+	other := Result{Key: 9, Seqs: []uint64{1, 2, 4}}
+	if s.ContainsEncoded(other.AppendTo(nil)) || !s.ContainsEncoded(enc) {
+		t.Fatal("ContainsEncoded disagrees with the added set")
+	}
+	if s.AddEncoded(enc) || s.Len() != 1 || s.Duplicates() != 2 {
+		t.Fatalf("len %d dups %d, want 1 and 2", s.Len(), s.Duplicates())
+	}
+}

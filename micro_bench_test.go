@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cleanup"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/partition"
@@ -32,18 +33,21 @@ func benchTuple(i int) tuple.Tuple { return bench.Tuple(i) }
 func benchCase(b *testing.B, name string) {
 	b.Helper()
 	for _, c := range bench.Cases() {
-		if c.Name != name {
-			continue
+		if c.Name == name {
+			runCase(b, c)
+			return
 		}
-		op := c.Make()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op(i)
-		}
-		return
 	}
 	b.Fatalf("unknown bench case %q", name)
+}
+
+func runCase(b *testing.B, c bench.Case) {
+	op := c.Make()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
 }
 
 func BenchmarkJoinProcessCountOnly(b *testing.B)     { benchCase(b, "join_process_count_only") }
@@ -55,6 +59,14 @@ func BenchmarkBatchRoundTrip(b *testing.B)           { benchCase(b, "batch_round
 func BenchmarkSnapshotEncode(b *testing.B)           { benchCase(b, "snapshot_encode") }
 func BenchmarkSnapshotDecode(b *testing.B)           { benchCase(b, "snapshot_decode") }
 func BenchmarkCleanupMerge(b *testing.B)             { benchCase(b, "cleanup_merge") }
+
+// BenchmarkAppServerResultIngest runs the gated appserver_result_ingest
+// body against the application server, as cmd/benchgate does.
+func BenchmarkAppServerResultIngest(b *testing.B) {
+	runCase(b, bench.ResultIngestCase(func() transport.Handler {
+		return cluster.NewAppServer(vclock.NewManual(), true, func(proto.Phase, tuple.Result) {}).Handle
+	}))
+}
 
 func BenchmarkTupleEncode(b *testing.B) {
 	t := benchTuple(1)
@@ -131,8 +143,7 @@ func BenchmarkCleanupRunMultiGroup(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				emit := func(tuple.Result) {}
-				if _, err := cleanup.RunWith(3, store, nil, 0, emit, cleanup.Options{Parallelism: par}); err != nil {
+				if _, err := cleanup.RunWith(3, store, nil, 0, cleanup.Discard, cleanup.Options{Parallelism: par}); err != nil {
 					b.Fatal(err)
 				}
 			}
